@@ -17,6 +17,10 @@ workload spread over several models,
   keeps both sides in the singleton batch-size class, where the
   engine's answers are composition-independent).
 
+The standalone run also records one cold ``from_checkpoint`` of the
+benchmark checkpoint (``cold_load``): the store's large members are
+memory-mapped rather than inflated, so it is CRC plus bookkeeping.
+
 Runable standalone (writes ``BENCH_router.json`` for the perf
 trajectory)::
 
@@ -26,12 +30,19 @@ trajectory)::
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro import AdmissionPolicy, FleetServer, ModelRegistry, ShardRouter
+from repro import (
+    AdmissionPolicy,
+    FleetServer,
+    IncrementalTrainer,
+    ModelRegistry,
+    ShardRouter,
+)
 from repro.bench.reporting import report
 from repro.eval import pss_bytes
 
@@ -65,6 +76,16 @@ def _traffic(wl):
         for m in range(N_MODELS)
         for i in range(N_SUBSETS)
     ]
+
+
+def _warm_set(traffic):
+    """The first request of every model id: warming with it makes each
+    model resident, so the timed burst pays no cold loads.  (Traffic is
+    model-major, so a prefix of it would warm only ``model-0``.)"""
+    first: dict[str, tuple] = {}
+    for model_id, ids in traffic:
+        first.setdefault(model_id, (model_id, ids))
+    return list(first.values())
 
 
 def _register_models(server, wl, directory, router: bool):
@@ -202,12 +223,12 @@ def _throughputs(tmp_root: Path):
     registry = ModelRegistry()
     _register_models(registry, wl, directory, router=False)
     with FleetServer(registry, POLICY, method="priu", n_workers=1) as fleet:
-        _burst_throughput(fleet, traffic[: N_MODELS])  # warm loads
+        _burst_throughput(fleet, _warm_set(traffic))  # warm loads
         single, single_elapsed, outcomes = _burst_throughput(fleet, traffic)
         assert len(outcomes) == len(traffic)
     with ShardRouter(n_shards=N_SHARDS, policy=POLICY) as router:
         _register_models(router, wl, directory, router=True)
-        _burst_throughput(router, traffic[: N_MODELS])  # warm loads
+        _burst_throughput(router, _warm_set(traffic))  # warm loads
         sharded, sharded_elapsed, outcomes = _burst_throughput(router, traffic)
         assert len(outcomes) == len(traffic)
         router.flush(timeout=120)
@@ -221,6 +242,23 @@ def _throughputs(tmp_root: Path):
         f"router_{N_SHARDS}_shards_rps": sharded,
         f"router_{N_SHARDS}_shards_seconds": sharded_elapsed,
         "throughput_ratio": sharded / single,
+    }
+
+
+def _cold_load(tmp_root: Path) -> dict:
+    """One model's ``from_checkpoint`` in a process that holds nothing of
+    it yet (the file is in the page cache): median of three loads."""
+    wl, directory = _checkpoint(tmp_root)
+    seconds = []
+    for _ in range(3):
+        started = time.perf_counter()
+        IncrementalTrainer.from_checkpoint(
+            directory, wl.dataset.features, wl.dataset.labels
+        )
+        seconds.append(time.perf_counter() - started)
+    return {
+        "from_checkpoint_seconds": statistics.median(seconds),
+        "store_bytes": (Path(directory) / "store.npz").stat().st_size,
     }
 
 
@@ -263,6 +301,7 @@ def main(out_path: str = "BENCH_router.json") -> dict:
         deviation = _bit_identity(tmp_root)
         assert deviation == 0.0, f"router deviates from fleet by {deviation}"
         throughput = _throughputs(tmp_root)
+        cold_load = _cold_load(tmp_root)
         memory, plan_bytes, _ = _resident_plan_bytes(tmp_root)
         if memory is not None:
             per_extra = memory["resident_plan_bytes_per_extra_process"]
@@ -281,6 +320,7 @@ def main(out_path: str = "BENCH_router.json") -> dict:
         "max_abs_deviation": deviation,
         "plan_bytes": plan_bytes,
         "throughput": throughput,
+        "cold_load": cold_load,
         "memory": memory,
         "timing_asserted": ASSERT_TIMING,
     }
@@ -291,6 +331,10 @@ def main(out_path: str = "BENCH_router.json") -> dict:
         f"  throughput: {throughput['single_process_rps']:.1f} rps (1 proc) "
         f"-> {throughput[f'router_{N_SHARDS}_shards_rps']:.1f} rps "
         f"({N_SHARDS} shards), ratio {throughput['throughput_ratio']:.2f}x"
+    )
+    print(
+        f"  cold from_checkpoint: {cold_load['from_checkpoint_seconds']:.3f} s "
+        f"({cold_load['store_bytes'] / 1e6:.0f} MB store)"
     )
     if memory is not None:
         print(

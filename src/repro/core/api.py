@@ -391,10 +391,12 @@ class IncrementalTrainer:
         replaying the empty removal set — the provenance recursion with
         ``R = ∅`` reproduces the captured training trajectory exactly.
 
-        ``plan_cache`` (a :class:`~repro.core.serialization.PlanCache`)
-        makes repeated loads of the same plan epoch share one read-only
-        mapping — the shard-worker path, where every reload and warm
-        standby must cost zero extra resident plan bytes.
+        The store's large members are memory-mapped read-only, as the
+        plan's are.  ``plan_cache`` (a
+        :class:`~repro.core.serialization.PlanCache`) makes repeated
+        loads of the same store and plan epochs share one read-only
+        mapping of each — the shard-worker path, where every reload and
+        warm standby must cost zero extra resident bytes.
         """
         path = Path(path)
         if path.is_dir():
@@ -407,7 +409,7 @@ class IncrementalTrainer:
                 plan_path = candidate if candidate.exists() else None
         else:
             store_path = path
-        store = load_store(store_path)
+        store = load_store(store_path, plan_cache=plan_cache)
         n_classes = (
             store.n_classes
             if store.task == "multinomial_logistic"

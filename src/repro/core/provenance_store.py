@@ -594,12 +594,15 @@ class ProvenanceStore:
             if appended:
                 # Maintenance accounting: exact correction columns widen
                 # the SVD factors until retruncate_summaries() reclaims
-                # them.
-                if self.svd_correction_columns is None:
-                    self.svd_correction_columns = np.zeros(
-                        len(self.records), dtype=np.int64
-                    )
-                self.svd_correction_columns[t] += appended
+                # them.  Copied, not written in place: a loaded store's
+                # arrays are read-only.
+                columns = (
+                    np.zeros(len(self.records), dtype=np.int64)
+                    if self.svd_correction_columns is None
+                    else self.svd_correction_columns.copy()
+                )
+                columns[t] += appended
+                self.svd_correction_columns = columns
         # ---- remap every surviving batch id onto the packed space
         if removed.size:
             for record in self.records:
@@ -947,7 +950,9 @@ retruncate_summary`, which folds few-column updates into the existing
                 max_bound = max(max_bound, result.error_bound)
                 max_relative = max(max_relative, result.error_bound_relative)
                 incremental_updates += result.method == "incremental"
-            self.svd_correction_columns[touched] = 0
+            columns = self.svd_correction_columns.copy()
+            columns[touched] = 0
+            self.svd_correction_columns = columns
             self._version += 1
         finally:
             self._commit_seq += 1  # even again

@@ -5,18 +5,26 @@ real deployment saves the store next to the model checkpoint and reloads it
 when a deletion request arrives — possibly in a different process, days
 later.  Two artifacts cover the whole serving state:
 
-* :func:`save_store` / :func:`load_store` — the provenance store itself,
-  packed into a single compressed ``.npz``: batch arrays, summaries (dense
-  or SVD factors), per-sample coefficients, frozen PrIU-opt state, and the
-  schedule metadata needed to rebuild it bit-for-bit.
+* :func:`save_store` / :func:`load_store` — the provenance store itself:
+  batch arrays, summaries (dense or SVD factors), per-sample coefficients,
+  frozen PrIU-opt state, and the schedule metadata needed to rebuild it
+  bit-for-bit.
 * :func:`save_plan` / :func:`load_plan` — the *compiled*
   :class:`~repro.core.replay_plan.ReplayPlan` layout (packed occurrence
-  index, stacked moments, slot-indexed interpolation flats), written as an
-  **uncompressed** ``.npz`` so a serving process can memory-map the arrays
-  straight out of the archive (``numpy`` itself ignores ``mmap_mode`` for
-  zip archives, so the loader maps each stored member by its byte offset).
-  A fresh process then goes checkpoint → plan → first answered request
-  without re-running capture *or* compilation.
+  index, stacked moments, slot-indexed interpolation flats), with the
+  fitted model's final weights.
+
+Both are written the same way: an **uncompressed** ``.npz`` (``np.savez``
+layout, each member's data padded to a 64-byte file offset) that plain
+``np.load`` reads.  Both are read through one reader
+(:class:`_ArchiveReader`) that memory-maps stored members by their byte
+offset (``numpy`` itself ignores ``mmap_mode`` for zip archives), one
+read-only mapping per member — every plan member, store members of
+64 KiB and up — so a cold load inflates nothing and a member that a
+commit later replaces drops its pages.  Compressed archives written by
+older versions still load: their members are inflated into memory.
+A fresh process then goes checkpoint → plan → first answered request
+without re-running capture *or* compilation.
 
 Both formats carry an explicit version number; loaders reject versions they
 do not understand instead of misinterpreting the layout (rules in
@@ -29,11 +37,10 @@ model & recovery"):
   a crash at any point leaves either the old file or the new one on disk,
   never a torn mix.
 * Archives embed a per-member content checksum (``__checksums__``).
-  Loaders verify members as they read them — eagerly for everything
-  :func:`load_store` and :func:`read_checkpoint_metadata` touch, *lazily*
-  for the plan members :func:`load_plan` memory-maps (the whole point of
-  mapping is not reading the bytes up front; the check runs on the plan's
-  first replay instead).  A mismatch raises
+  Loaders verify members as they read them — eagerly for every member of
+  a store (mapped or not) and everything :func:`read_checkpoint_metadata`
+  touches, *lazily* for the plan members :func:`load_plan` memory-maps
+  (the check runs on the plan's first replay instead).  A mismatch raises
   :class:`CheckpointCorruptionError` — bit rot is *detected*, never served.
 * Multi-file checkpoints (``store.npz`` + ``plan.npz``) commit through a
   sidecar journal (:func:`commit_checkpoint` / :func:`recover_checkpoint`)
@@ -47,6 +54,7 @@ write at every step and tests can prove the old-or-new guarantee.
 from __future__ import annotations
 
 import ast
+import math
 import os
 import threading
 import zipfile
@@ -158,13 +166,10 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def _durable_savez(
-    path: Path, arrays: dict, *, compressed: bool, tag: str
-) -> None:
+def _durable_savez(path: Path, arrays: dict, *, tag: str) -> None:
     """Write an ``.npz`` crash-atomically: temp file → fsync → rename.
 
-    The archive is written through an open file handle (``np.savez``
-    appends ``.npz`` to suffix-less *paths* but honors handles exactly),
+    The archive is written through an open file handle (:func:`_write_npz`),
     fsynced, then renamed over ``path`` with ``os.replace`` — atomic on
     POSIX, so a reader never observes a half-written archive and a crash
     leaves either the old file or the new one.  The temp file is left
@@ -174,10 +179,7 @@ def _durable_savez(
     temp = _temp_beside(path)
     _fault(f"{tag}.begin", path)
     with open(temp, "wb") as handle:
-        if compressed:
-            np.savez_compressed(handle, **arrays)
-        else:
-            np.savez(handle, **arrays)
+        _write_npz(handle, arrays)
         handle.flush()
         _fault(f"{tag}.temp-written", temp)
         os.fsync(handle.fileno())
@@ -187,20 +189,82 @@ def _durable_savez(
     _fsync_dir(path.parent)
 
 
+# ------------------------------------------------------------ npz layout
+_NPY_MAGIC = b"\x93NUMPY"
+# File-offset alignment of every member's data: a mapping then starts as
+# aligned as a heap array (numpy's matmul copies unaligned operands before
+# each BLAS call, which would tax every replay over a mapped summary).
+_DATA_ALIGN = 64
+# Store members at least this large are memory-mapped; smaller ones are
+# read into memory.  Each mapping costs a file descriptor (CPython's mmap
+# holds a duplicate), an address-space region and up to two partly shared
+# pages, which a store's many per-iteration scraps would multiply by
+# hundreds; below 16 pages a copy is as cheap as the mapping.  Plans map
+# every member (a dozen per archive).
+_STORE_MAP_MIN_BYTES = 64 << 10
+
+
+def _npy_header(array: np.ndarray, fortran: bool, start: int) -> bytes:
+    """An npy 1.0 header for ``array`` beginning at file offset ``start``.
+
+    Space-padded (as npy headers always are) so the data that follows
+    starts on a :data:`_DATA_ALIGN` boundary of the file.
+    """
+    text = "{'descr': %r, 'fortran_order': %r, 'shape': %r, }" % (
+        np.lib.format.dtype_to_descr(array.dtype),
+        fortran,
+        array.shape,
+    )
+    length = len(text) + 1  # the closing newline
+    length += -(start + len(_NPY_MAGIC) + 4 + length) % _DATA_ALIGN
+    return (
+        _NPY_MAGIC
+        + b"\x01\x00"
+        + length.to_bytes(2, "little")
+        + text.ljust(length - 1).encode("latin1")
+        + b"\n"
+    )
+
+
+def _write_npz(handle, arrays: dict) -> None:
+    """Write ``arrays`` to ``handle`` in ``np.savez``'s layout, aligned.
+
+    One ``ZIP_STORED`` ``<name>.npy`` member per array, as ``np.savez``
+    writes them, except that each header is padded so the member's data
+    starts at a :data:`_DATA_ALIGN`-aligned offset of the file.
+    """
+    with zipfile.ZipFile(handle, "w", zipfile.ZIP_STORED) as archive:
+        for name, value in arrays.items():
+            array = np.asarray(value)
+            fortran = array.flags.f_contiguous and not array.flags.c_contiguous
+            data = array.T if fortran else np.ascontiguousarray(array)
+            with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                # The local file header is written by now: handle.tell()
+                # is where this member's npy bytes begin.
+                member.write(_npy_header(array, fortran, handle.tell()))
+                member.write(_raw_bytes(data))
+
+
+def _raw_bytes(array: np.ndarray) -> memoryview:
+    """A C-contiguous array's buffer as bytes, without copying."""
+    return memoryview(array.reshape(-1)).cast("B")
+
+
 # ---------------------------------------------------------------- checksums
 def _content_digest(array: np.ndarray) -> str:
     """A dtype/shape-tagged CRC32 of one member's raw bytes.
 
     Computed over the *logical* content (contiguous buffer + dtype +
-    shape), not the zip member's compressed bytes, so the same digest
-    verifies both a decompressed read (:func:`load_store`) and a
-    memory-mapped view (:func:`load_plan`) — the mmap path bypasses the
-    zip layer's own CRC entirely, which is why this exists.
+    shape), not the zip member's bytes, so the same digest verifies a
+    mapped member, a member read into memory and a member inflated from
+    an older compressed archive alike — a mapping bypasses the zip
+    layer's own CRC entirely, which is why this exists.  The CRC runs
+    over the buffer in place (a mapped member is never copied).
     """
     array = np.asarray(array)
     tag = f"{array.dtype.str}|{array.shape}".encode()
     crc = zlib.crc32(tag)
-    crc = zlib.crc32(np.ascontiguousarray(array).tobytes(), crc)
+    crc = zlib.crc32(_raw_bytes(np.ascontiguousarray(array)), crc)
     return f"{crc:08x}"
 
 
@@ -209,17 +273,6 @@ def _checksums_member(arrays: dict) -> np.ndarray:
     return np.array(
         sorted(f"{name}={_content_digest(value)}" for name, value in arrays.items())
     )
-
-
-def _parse_checksums(archive) -> dict[str, str] | None:
-    """The archive's recorded digests, or None for pre-checksum archives."""
-    if _CHECKSUMS_MEMBER not in archive.files:
-        return None
-    table: dict[str, str] = {}
-    for line in archive[_CHECKSUMS_MEMBER]:
-        name, _, digest = str(line).partition("=")
-        table[name] = digest
-    return table
 
 
 def _verify_digest(
@@ -239,47 +292,212 @@ def _verify_digest(
         )
 
 
-class _VerifyingArchive:
-    """Wrap an open ``NpzFile``: verify each member's digest on first read.
+def _parse_npy_header(handle):
+    """Parse a ``.npy`` header at the handle's position, any format version.
 
-    Members are checked as the loader pulls them (no double decompression)
-    and :meth:`verify_remaining` sweeps whatever the loader never touched,
-    so a corrupted-but-unused member still fails the load instead of
-    lurking until a later code path needs it.  With no digest table (an
-    old archive) it is a transparent pass-through.
+    ``np.save`` writes format 1.0 by default but *silently* upgrades to
+    2.0 when the header dict exceeds 65535 bytes (huge structured dtypes)
+    and to 3.0 when a field name needs utf-8 — so an offset parser that
+    assumes the v1 layout computes a data offset that is short by exactly
+    two bytes and maps garbage.  The header-length field is ``uint16`` in
+    v1 and ``uint32`` in v2/v3; the dict itself is latin-1 text before
+    v3, utf-8 from v3 on.  Returns ``(shape, fortran_order, dtype)`` with
+    the handle left at the first data byte, or ``None`` for anything that
+    is not a well-formed ``.npy`` header of a known major version.
+    """
+    magic = handle.read(8)
+    if len(magic) != 8 or magic[:6] != _NPY_MAGIC:
+        return None
+    major = magic[6]
+    if major == 1:
+        length_width = 2
+    elif major in (2, 3):
+        length_width = 4
+    else:
+        return None
+    raw_length = handle.read(length_width)
+    if len(raw_length) != length_width:
+        return None
+    header_length = int.from_bytes(raw_length, "little")
+    header = handle.read(header_length)
+    if len(header) != header_length:
+        return None
+    try:
+        text = header.decode("utf-8" if major >= 3 else "latin1")
+        fields = ast.literal_eval(text.strip())
+        shape = tuple(int(n) for n in fields["shape"])
+        fortran = bool(fields["fortran_order"])
+        dtype = np.lib.format.descr_to_dtype(fields["descr"])
+    except (ValueError, SyntaxError, KeyError, TypeError):
+        return None
+    return shape, fortran, dtype
+
+
+# ------------------------------------------------------------ archive reader
+class _ArchiveReader:
+    """The one read path for store and plan archives.
+
+    Opens the file once and parses the zip directory once.  A stored
+    member whose data is at least ``map_min_bytes`` long is memory-mapped
+    read-only, one mapping per member (``map_min_bytes=None`` maps
+    nothing); a smaller one is read with a single ``read``; a deflated
+    member (stores written before archives went uncompressed) is inflated
+    through :mod:`zipfile`.  Every member comes back read-only, whichever
+    way it was read: commits and maintenance replace loaded arrays, they
+    never write into them.  ``shared`` supplies mappings made earlier
+    (:class:`PlanCache`) that take the place of new ones.
+
+    Indexing (``reader[name]``) verifies the member against the archive's
+    digest table on first read; :meth:`verify_remaining` sweeps the rest.
+    Archives without a table (written before checksums existed) read
+    unchecked.
     """
 
-    def __init__(self, archive, checksums: dict[str, str] | None, path: Path):
-        self._archive = archive
-        self._checksums = checksums
-        self._path = path
+    def __init__(
+        self,
+        path: Path,
+        map_min_bytes: int | None = None,
+        shared: dict[str, np.ndarray] | None = None,
+    ) -> None:
+        self.path = path
+        self._map_min_bytes = map_min_bytes
+        self._shared = shared or {}
         self._verified: set[str] = set()
+        self.checksums: dict[str, str] | None = None
+        self._handle = open(path, "rb")
+        try:
+            self._zip = zipfile.ZipFile(self._handle)
+            self._infos = {
+                info.filename[: -len(".npy")]: info
+                for info in self._zip.infolist()
+                if info.filename.endswith(".npy")
+            }
+            if _CHECKSUMS_MEMBER in self._infos:
+                self.checksums = dict(
+                    str(line).partition("=")[::2]
+                    for line in self.read(_CHECKSUMS_MEMBER)
+                )
+        except BaseException:
+            self._handle.close()
+            raise
+        self.files = list(self._infos)
 
-    @property
-    def files(self):
-        return self._archive.files
+    def __enter__(self) -> "_ArchiveReader":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._zip.close()
+        self._handle.close()
 
     def __getitem__(self, name: str) -> np.ndarray:
-        value = self._archive[name]
-        if self._checksums is not None and name not in self._verified:
-            self._verified.add(name)
-            _verify_digest(name, value, self._checksums, self._path)
+        value = self.read(name)
+        self.verify(name, value)
         return value
 
+    def verify(self, name: str, value: np.ndarray) -> None:
+        """Check ``value`` (member ``name``) once against the digest table."""
+        if self.checksums is not None and name not in self._verified:
+            self._verified.add(name)
+            _verify_digest(name, value, self.checksums, self.path)
+
     def verify_remaining(self) -> None:
-        if self._checksums is None:
+        """Verify every recorded member not yet read."""
+        if self.checksums is None:
             return
-        for name in self._checksums:
+        for name in self.checksums:
             if name in self._verified:
                 continue
             try:
-                value = self._archive[name]
+                value = self.read(name)
             except KeyError:
                 raise CheckpointCorruptionError(
-                    f"checkpoint member {name!r} missing from {self._path}"
+                    f"checkpoint member {name!r} missing from {self.path}"
                 ) from None
-            self._verified.add(name)
-            _verify_digest(name, value, self._checksums, self._path)
+            self.verify(name, value)
+
+    def read(self, name: str) -> np.ndarray:
+        """Member ``name``, unverified: mapped, read or inflated."""
+        if name in self._shared:
+            return self._shared[name]
+        info = self._infos[name]
+        located = self._locate(info)
+        if located is None:
+            with self._zip.open(info) as member:
+                array = np.lib.format.read_array(member, allow_pickle=False)
+            array.flags.writeable = False
+            return array
+        if self._maps(located):
+            return self._mapping(located)
+        shape, fortran, dtype, offset, nbytes = located
+        self._handle.seek(offset)
+        data = self._handle.read(nbytes)
+        return np.frombuffer(data, dtype=dtype).reshape(
+            shape, order="F" if fortran else "C"
+        )
+
+    def map(self, name: str) -> np.ndarray | None:
+        """Member ``name`` memory-mapped, or None when it is not mapped."""
+        if name in self._shared:
+            return self._shared[name]
+        located = self._locate(self._infos[name])
+        if located is None or not self._maps(located):
+            return None
+        return self._mapping(located)
+
+    def _maps(self, located) -> bool:
+        nbytes = located[4]
+        return (
+            self._map_min_bytes is not None
+            and nbytes > 0
+            and nbytes >= self._map_min_bytes
+        )
+
+    def _mapping(self, located) -> np.memmap:
+        shape, fortran, dtype, offset, _ = located
+        return np.memmap(
+            self._handle,
+            dtype=dtype,
+            mode="r",
+            offset=offset,
+            shape=shape,
+            order="F" if fortran else "C",
+        )
+
+    def _locate(self, info: zipfile.ZipInfo):
+        """``(shape, fortran, dtype, offset, nbytes)`` of a stored member's
+        data, or None for a deflated member or a header this parser does
+        not read (both then go through :mod:`zipfile`)."""
+        if info.compress_type != zipfile.ZIP_STORED:
+            return None
+        handle = self._handle
+        handle.seek(info.header_offset)
+        local_header = handle.read(30)
+        if len(local_header) != 30 or local_header[:4] != b"PK\x03\x04":
+            return None
+        name_length = int.from_bytes(local_header[26:28], "little")
+        extra_length = int.from_bytes(local_header[28:30], "little")
+        start = info.header_offset + 30 + name_length + extra_length
+        handle.seek(start)
+        parsed = _parse_npy_header(handle)
+        if parsed is None:
+            return None
+        shape, fortran, dtype = parsed
+        if dtype.hasobject:
+            raise ValueError(
+                f"member {info.filename!r} of {self.path} holds Python "
+                "objects; checkpoints never do"
+            )
+        offset = handle.tell()
+        nbytes = dtype.itemsize * math.prod(shape)
+        if offset + nbytes > start + info.compress_size:
+            raise CheckpointCorruptionError(
+                f"checkpoint member {info.filename!r} of {self.path} is "
+                "shorter than its header declares"
+            )
+        return shape, fortran, dtype, offset, nbytes
 
 
 _UNREADABLE = (zipfile.BadZipFile, zlib.error, EOFError, OSError)
@@ -290,6 +508,7 @@ def _unreadable(path: Path, exc: Exception) -> CheckpointCorruptionError:
         f"checkpoint archive {path} is unreadable "
         f"(truncated or torn write?): {exc}"
     )
+
 
 _FROZEN_FIELDS = (
     "slopes",
@@ -432,7 +651,7 @@ def _unpack_summary(archive, key: str, kind: str):
 
 
 def save_store(store: ProvenanceStore, path: str | Path) -> Path:
-    """Serialize a provenance store to a ``.npz`` archive."""
+    """Serialize a provenance store to an uncompressed ``.npz`` archive."""
     path = Path(path)
     arrays: dict[str, np.ndarray] = {}
     summary_kinds: list[str] = []
@@ -503,21 +722,30 @@ def save_store(store: ProvenanceStore, path: str | Path) -> Path:
     arrays["__summary_kinds__"] = np.array(summary_kinds)
     arrays["__frozen_meta__"] = np.array([str(v) for v in frozen_meta])
     arrays[_CHECKSUMS_MEMBER] = _checksums_member(arrays)
-    _durable_savez(path, arrays, compressed=True, tag="store")
+    _durable_savez(path, arrays, tag="store")
     return path
 
 
-def load_store(path: str | Path) -> ProvenanceStore:
+def load_store(
+    path: str | Path, plan_cache: PlanCache | None = None
+) -> ProvenanceStore:
     """Reload a provenance store saved by :func:`save_store`.
 
-    Every member read is verified against the archive's recorded content
-    digests (when present), and members the layout never touches are
-    swept at the end — a corrupted store raises
+    Members of at least 64 KiB are memory-mapped read-only, one mapping
+    per member, the rest read into memory; compressed archives (written
+    before stores went uncompressed) are inflated.  Every loaded array is
+    read-only: commits and maintenance replace them.  Every member is
+    verified against the archive's recorded content digests (when
+    present), mapped bytes included, and members the layout never touches
+    are swept at the end — a corrupted store raises
     :class:`CheckpointCorruptionError`, it never loads wrong.
+
+    Passing a :class:`PlanCache` reuses its one mapping of the archive's
+    current epoch, as :func:`load_plan` does for plans.
     """
     path = Path(path)
     try:
-        return _load_store_verified(path)
+        return _load_store_verified(path, plan_cache)
     except FileNotFoundError:
         raise
     except _UNREADABLE as exc:
@@ -528,9 +756,15 @@ def load_store(path: str | Path) -> ProvenanceStore:
         ) from exc
 
 
-def _load_store_verified(path: Path) -> ProvenanceStore:
-    with np.load(path, allow_pickle=False) as npz:
-        archive = _VerifyingArchive(npz, _parse_checksums(npz), path)
+def _load_store_verified(
+    path: Path, plan_cache: PlanCache | None
+) -> ProvenanceStore:
+    shared = (
+        None
+        if plan_cache is None
+        else plan_cache.store_mappings(path)
+    )
+    with _ArchiveReader(path, _STORE_MAP_MIN_BYTES, shared) as archive:
         meta = archive["__meta__"]
         version = int(meta[0])
         if version not in _SUPPORTED_VERSIONS:
@@ -732,8 +966,7 @@ def read_checkpoint_metadata(path: str | Path) -> CheckpointMetadata:
 def _read_metadata_verified(
     store_path: Path, plan_path: Path | None
 ) -> CheckpointMetadata:
-    with np.load(store_path, allow_pickle=False) as npz:
-        archive = _VerifyingArchive(npz, _parse_checksums(npz), store_path)
+    with _ArchiveReader(store_path) as archive:
         meta = archive["__meta__"]
         version = int(meta[0])
         if version not in _SUPPORTED_VERSIONS:
@@ -769,9 +1002,9 @@ def save_plan(
     parameter vector so :meth:`~repro.core.api.IncrementalTrainer.\
 from_checkpoint` can restore ``weights_`` without replaying anything.
 
-    The archive is written *uncompressed* on purpose: stored zip members
+    Like stores, the archive is written uncompressed: stored zip members
     are contiguous byte ranges, which lets :func:`load_plan` memory-map
-    them (``mmap_mode="r"``) instead of copying into RAM.
+    them instead of copying into RAM.
     """
     if not plan.supported:
         raise ValueError(
@@ -788,104 +1021,27 @@ from_checkpoint` can restore ``weights_`` without replaying anything.
     arrays["__plan_meta_keys__"] = np.array(keys)
     arrays["__plan_meta_values__"] = np.array([meta[k] for k in keys])
     arrays[_CHECKSUMS_MEMBER] = _checksums_member(arrays)
-    _durable_savez(path, arrays, compressed=False, tag="plan")
+    _durable_savez(path, arrays, tag="plan")
     return path
 
 
-_NPY_MAGIC = b"\x93NUMPY"
+def _mmap_npz_arrays(
+    path: Path, names: list[str] | None = None, map_min_bytes: int = 0
+) -> dict[str, np.ndarray]:
+    """Memory-map the mappable members of an ``.npz``; best effort.
 
-
-def _parse_npy_header(handle):
-    """Parse a ``.npy`` header at the handle's position, any format version.
-
-    ``np.save`` writes format 1.0 by default but *silently* upgrades to
-    2.0 when the header dict exceeds 65535 bytes (huge structured dtypes)
-    and to 3.0 when a field name needs utf-8 — so an offset parser that
-    assumes the v1 layout computes a data offset that is short by exactly
-    two bytes and maps garbage.  The header-length field is ``uint16`` in
-    v1 and ``uint32`` in v2/v3; the dict itself is latin-1 text before
-    v3, utf-8 from v3 on.  Returns ``(shape, fortran_order, dtype)`` with
-    the handle left at the first data byte, or ``None`` for anything that
-    is not a well-formed ``.npy`` header of a known major version.
-    """
-    magic = handle.read(8)
-    if len(magic) != 8 or magic[:6] != _NPY_MAGIC:
-        return None
-    major = magic[6]
-    if major == 1:
-        length_width = 2
-    elif major in (2, 3):
-        length_width = 4
-    else:
-        return None
-    raw_length = handle.read(length_width)
-    if len(raw_length) != length_width:
-        return None
-    header_length = int.from_bytes(raw_length, "little")
-    header = handle.read(header_length)
-    if len(header) != header_length:
-        return None
-    try:
-        text = header.decode("utf-8" if major >= 3 else "latin1")
-        fields = ast.literal_eval(text.strip())
-        shape = tuple(int(n) for n in fields["shape"])
-        fortran = bool(fields["fortran_order"])
-        dtype = np.lib.format.descr_to_dtype(fields["descr"])
-    except (ValueError, SyntaxError, KeyError, TypeError):
-        return None
-    return shape, fortran, dtype
-
-
-def _mmap_member(handle, path: Path, info: zipfile.ZipInfo) -> np.ndarray | None:
-    """Memory-map one stored zip member's ``.npy`` payload, or None."""
-    handle.seek(info.header_offset)
-    local_header = handle.read(30)
-    if len(local_header) != 30 or local_header[:4] != b"PK\x03\x04":
-        return None
-    name_length = int.from_bytes(local_header[26:28], "little")
-    extra_length = int.from_bytes(local_header[28:30], "little")
-    handle.seek(info.header_offset + 30 + name_length + extra_length)
-    parsed = _parse_npy_header(handle)
-    if parsed is None:
-        return None
-    shape, fortran, dtype = parsed
-    if dtype.hasobject or 0 in shape:
-        return None
-    return np.memmap(
-        path,
-        dtype=dtype,
-        mode="r",
-        offset=handle.tell(),
-        shape=shape,
-        order="F" if fortran else "C",
-    )
-
-
-def _mmap_npz_arrays(path: Path, names: list[str]) -> dict[str, np.ndarray]:
-    """Memory-map every mappable member of an ``.npz``; best effort.
-
-    ``np.load(..., mmap_mode="r")`` silently ignores the request for zip
-    archives, but members written by ``np.savez`` (``ZIP_STORED``, no
-    compression) sit in the file as a local header followed by the raw
-    ``.npy`` payload.  Parsing that payload's header in place yields the
-    dtype/shape/order and the absolute byte offset of the data, which is
-    everything ``np.memmap`` needs.  The central directory is parsed once
-    for all members.  Compressed members, zero-size arrays and exotic
-    headers are simply omitted (the caller falls back to a normal read).
+    ``names`` defaults to every member.  Members the reader would not map
+    (deflated, empty, shorter than ``map_min_bytes``, exotic headers) are
+    simply omitted, as is everything when the archive cannot be read: the
+    caller falls back to :class:`_ArchiveReader` for them.
     """
     mapped: dict[str, np.ndarray] = {}
     try:
-        with zipfile.ZipFile(path) as archive, open(path, "rb") as handle:
-            for name in names:
+        with _ArchiveReader(path, map_min_bytes) as reader:
+            for name in reader.files if names is None else names:
                 try:
-                    info = archive.getinfo(name + ".npy")
-                except KeyError:
-                    continue
-                if info.compress_type != zipfile.ZIP_STORED:
-                    continue
-                try:
-                    member = _mmap_member(handle, path, info)
-                except (OSError, ValueError):
+                    member = reader.map(name)
+                except (KeyError, OSError, ValueError):
                     member = None
                 if member is not None:
                     mapped[name] = member
@@ -894,33 +1050,26 @@ def _mmap_npz_arrays(path: Path, names: list[str]) -> dict[str, np.ndarray]:
     return mapped
 
 
-def _all_member_names(path: Path) -> list[str]:
-    """Every array member of an ``.npz`` (zip central directory only)."""
-    with zipfile.ZipFile(path) as archive:
-        return [
-            name[: -len(".npy")]
-            for name in archive.namelist()
-            if name.endswith(".npy")
-        ]
-
-
 class PlanCache:
-    """Process-local registry of read-only plan mappings, keyed by
-    (checkpoint path, epoch).
+    """Process-local registry of read-only archive mappings (plans and
+    stores), keyed by (archive path, epoch).
 
     ``np.memmap(mode="r")`` maps the archive ``MAP_SHARED``/read-only on
-    POSIX, so every process that maps the same plan file shares the same
+    POSIX, so every process that maps the same file shares the same
     physical page-cache pages — N shard workers cost ~zero resident bytes
     beyond the first.  What the OS does *not* deduplicate is redundant
     mapping work inside one process: a fleet re-loading a model after
     eviction, or a warm standby pre-opening every plan it might inherit,
     would otherwise re-parse the zip directory and re-map every member.
-    This cache hands out the one canonical mapping per plan epoch.
+    This cache hands out the one canonical mapping per archive epoch:
+    :meth:`mappings` for plans (every member mapped; ``hits``/``misses``
+    count them), :meth:`store_mappings` for stores (members of at least
+    64 KiB; ``store_hits``/``store_misses``).
 
     The *epoch* is the archive's identity fingerprint (inode, size,
-    mtime-ns): durable writes replace the file atomically, so a new plan
+    mtime-ns): durable writes replace the file atomically, so a new
     version is a new inode and old epochs are dropped eagerly — a cached
-    mapping can never alias a superseded plan.  Instances are
+    mapping can never alias a superseded archive.  Instances are
     thread-safe; they are per-process by construction (mappings don't
     pickle), each shard worker builds its own.
     """
@@ -929,8 +1078,13 @@ class PlanCache:
         self._lock = threading.Lock()
         # {path: (epoch, {member: np.memmap})}  guarded-by: _lock
         self._mapped: dict[str, tuple[tuple, dict[str, np.ndarray]]] = {}
-        self.hits = 0  # guarded-by: _lock
-        self.misses = 0  # guarded-by: _lock
+        # {"plan" | "store": [hits, misses]}  guarded-by: _lock
+        self._counts = {"plan": [0, 0], "store": [0, 0]}
+
+    hits = property(lambda self: self._counts["plan"][0])
+    misses = property(lambda self: self._counts["plan"][1])
+    store_hits = property(lambda self: self._counts["store"][0])
+    store_misses = property(lambda self: self._counts["store"][1])
 
     @staticmethod
     def epoch(path: str | Path) -> tuple:
@@ -946,23 +1100,34 @@ class PlanCache:
         absent and callers fall back to a copying read.  The returned
         dict is shared — treat it as read-only.
         """
+        return self._epoch_mappings(path, "plan", 0)
+
+    def store_mappings(self, path: str | Path) -> dict[str, np.ndarray]:
+        """:meth:`mappings` for a store archive: only the members
+        :func:`load_store` maps (64 KiB and up) are mapped and shared."""
+        return self._epoch_mappings(path, "store", _STORE_MAP_MIN_BYTES)
+
+    def _epoch_mappings(
+        self, path: str | Path, kind: str, map_min_bytes: int
+    ) -> dict[str, np.ndarray]:
         path = Path(path).resolve()
         key = str(path)
         epoch = self.epoch(path)
+        counts = self._counts[kind]
         with self._lock:
             entry = self._mapped.get(key)
             if entry is not None and entry[0] == epoch:
-                self.hits += 1
+                counts[0] += 1
                 return entry[1]
         # Map outside the lock (zip parsing does file I/O); last writer
         # wins on a race, both mappings view identical bytes.
-        mapped = _mmap_npz_arrays(path, _all_member_names(path))
+        mapped = _mmap_npz_arrays(path, map_min_bytes=map_min_bytes)
         with self._lock:
             entry = self._mapped.get(key)
             if entry is not None and entry[0] == epoch:
-                self.hits += 1
+                counts[0] += 1
                 return entry[1]
-            self.misses += 1
+            counts[1] += 1
             self._mapped[key] = (epoch, mapped)
         return mapped
 
@@ -1072,26 +1237,25 @@ def _read_plan_arrays(
 ) -> tuple[dict, dict, dict[str, str] | None, dict]:
     """Plan members + meta + digest table + the mapped (lazily verified)
     subset."""
-    with np.load(path, allow_pickle=False) as npz:
-        checksums = _parse_checksums(npz)
-        archive = _VerifyingArchive(npz, checksums, path)
+    shared = None
+    if mmap and plan_cache is not None:
+        shared = plan_cache.mappings(path)
+    with _ArchiveReader(path, 0 if mmap else None, shared) as archive:
         keys = [str(k) for k in archive["__plan_meta_keys__"]]
         values = [str(v) for v in archive["__plan_meta_values__"]]
         meta = dict(zip(keys, values))
         version = int(meta.get("format", "-1"))
         if version != _PLAN_FORMAT_VERSION:
             raise ValueError(f"unsupported plan format version: {version}")
-        names = [n for n in npz.files if not n.startswith("__")]
-        if not mmap:
-            mapped = {}
-        elif plan_cache is not None:
-            cached = plan_cache.mappings(path)
-            mapped = {name: cached[name] for name in names if name in cached}
-        else:
-            mapped = _mmap_npz_arrays(path, names)
-        arrays = {
-            name: mapped[name] if name in mapped else archive[name]
-            for name in names
-        }
-    deferred = {name: mapped[name] for name in mapped}
+        arrays: dict[str, np.ndarray] = {}
+        deferred: dict[str, np.ndarray] = {}
+        for name in archive.files:
+            if name.startswith("__"):
+                continue
+            value = arrays[name] = archive.read(name)
+            if isinstance(value, np.memmap):
+                deferred[name] = value
+            else:
+                archive.verify(name, value)
+        checksums = archive.checksums
     return arrays, meta, checksums, deferred

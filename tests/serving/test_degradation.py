@@ -49,6 +49,14 @@ def checkpoint(tmp_path_factory):
     return directory
 
 
+@pytest.fixture(scope="module")
+def frozen_checkpoint(tmp_path_factory):
+    """A checkpoint whose store carries a frozen PrIU-opt state."""
+    directory = tmp_path_factory.mktemp("degradation-frozen") / "ckpt"
+    fit_model(method="auto").save_checkpoint(directory)
+    return directory
+
+
 def flaky_fleet(checkpoint, retry, model_ids=("m",), flaky=None):
     flaky = flaky if flaky is not None else FlakyLoader()
     registry = ModelRegistry(loader=flaky)
@@ -140,6 +148,50 @@ class TestLoadRetry:
             assert health["load_retries"] == 0
             with pytest.raises(ModelQuarantinedError):
                 fleet.submit("m", [2])
+
+    @pytest.mark.parametrize("member", ["summary_3", "batch_3", "frozen_gram"])
+    def test_corrupt_mapped_store_member_quarantines(
+        self, frozen_checkpoint, tmp_path, member
+    ):
+        """One member of each array family (summary, batch, frozen
+        PrIU-opt field) of an uncompressed, mapped store."""
+        broken = tmp_path / "broken"
+        shutil.copytree(frozen_checkpoint, broken)
+        corrupt_npz_member(broken / "store.npz", member)
+        registry = ModelRegistry()
+        registry.register(
+            "m",
+            checkpoint=broken,
+            features=_DATA.features,
+            labels=_DATA.labels,
+        )
+        retry = RetryPolicy(load_attempts=3, quarantine_after=3)
+        with FleetServer(
+            registry, n_workers=1, clock=FakeClock(), retry=retry
+        ) as fleet:
+            with pytest.raises(ModelLoadError) as failed:
+                fleet.resolve("m", [1], timeout=30)
+            assert failed.value.attempts == 1
+            assert isinstance(failed.value.__cause__, CheckpointCorruptionError)
+            assert fleet.describe("m")["health"]["state"] == "quarantined"
+            with pytest.raises(ModelQuarantinedError):
+                fleet.submit("m", [2])
+
+    def test_corrupt_store_metadata_refused_at_registration(
+        self, frozen_checkpoint, tmp_path
+    ):
+        """``__meta__`` is read (and verified) when a model registers, so
+        its corruption never reaches a dispatch."""
+        broken = tmp_path / "broken"
+        shutil.copytree(frozen_checkpoint, broken)
+        corrupt_npz_member(broken / "store.npz", "__meta__")
+        with pytest.raises(CheckpointCorruptionError):
+            ModelRegistry().register(
+                "m",
+                checkpoint=broken,
+                features=_DATA.features,
+                labels=_DATA.labels,
+            )
 
 
 class TestProbeRecovery:
