@@ -118,7 +118,6 @@ class IncrementalTrainer:
         schedule_kind: str = "mb-sgd",
         max_dense_params: int = 2500,
         opt_feature_limit: int = 2500,
-        plan_cache_sparse_blocks: bool = True,
         plan_refresh_threshold: float = 0.25,
         eigen_correction_limit: int = 0,
         kernel_block_size: int | None = None,
@@ -143,10 +142,6 @@ class IncrementalTrainer:
         self.schedule_kind = schedule_kind
         self.max_dense_params = int(max_dense_params)
         self.opt_feature_limit = int(opt_feature_limit)
-        # Memory/time trade for sparse workloads: the plan's pre-sliced CSR
-        # batch blocks hold ~τB/n copies of the dataset; disable to re-slice
-        # inside the replay loop instead.
-        self.plan_cache_sparse_blocks = bool(plan_cache_sparse_blocks)
         # Commit path: incremental ReplayPlan.refresh() while a commit
         # touches at most this fraction of the iterations, full recompile
         # beyond it.
@@ -250,7 +245,6 @@ class IncrementalTrainer:
             self.store,
             features,
             self.labels,
-            cache_sparse_blocks=self.plan_cache_sparse_blocks,
             kernel_block_size=self._plan_block_size(),
         )
         self._build_opt()
@@ -369,7 +363,6 @@ class IncrementalTrainer:
         plan_path: str | Path | None = None,
         method: str = "auto",
         mmap: bool = True,
-        plan_cache_sparse_blocks: bool = True,
         plan_cache=None,
         **overrides,
     ) -> "IncrementalTrainer":
@@ -426,7 +419,6 @@ class IncrementalTrainer:
             seed=store.schedule.seed,
             epsilon=store.epsilon,
             schedule_kind=store.schedule.kind,
-            plan_cache_sparse_blocks=plan_cache_sparse_blocks,
             **overrides,
         )
         trainer._restore(
@@ -482,7 +474,6 @@ class IncrementalTrainer:
                 features,
                 labels,
                 mmap=mmap,
-                cache_sparse_blocks=self.plan_cache_sparse_blocks,
                 plan_cache=plan_cache,
                 kernel_block_size=self._plan_block_size(),
             )
@@ -491,7 +482,6 @@ class IncrementalTrainer:
                 store,
                 features,
                 labels,
-                cache_sparse_blocks=self.plan_cache_sparse_blocks,
                 kernel_block_size=self._plan_block_size(),
             )
         self._build_opt()

@@ -399,8 +399,8 @@ class ProvenanceStore:
     # were built against and refuse to run against a changed store.
     _version: int = 0
     # Seqlock for lock-free readers of the (n_samples, _version) pair:
-    # odd while a compact() is mutating, even otherwise.  A reader that
-    # sees the same even value before and after its reads observed a
+    # odd while _publish() installs a new pair, even otherwise.  A reader
+    # that sees the same even value before and after its reads observed a
     # consistent id space (see DeletionServer.submit).
     _commit_seq: int = 0
 
@@ -561,22 +561,6 @@ class ProvenanceStore:
             if removed.size >= n_before:
                 raise ValueError("cannot delete every training sample")
 
-        self._commit_seq += 1  # odd: mutation in progress
-        try:
-            return self._compact_locked(
-                removed, features, labels, n_before, timestamp
-            )
-        finally:
-            self._commit_seq += 1  # even again: readers may trust the pair
-
-    def _compact_locked(
-        self,
-        removed: np.ndarray,
-        features,
-        labels,
-        n_before: int,
-        timestamp: float | None,
-    ) -> CompactionStats:
         index = self.packed_index()
         removed_map = self.removed_positions(removed)
         sizes = np.fromiter(
@@ -639,6 +623,7 @@ class ProvenanceStore:
         )
 
         # ---- bookkeeping: deletion log, receipts, schedule, sizes, version
+        n_after = n_before - int(removed.size)
         if self.n_original_samples is None:
             self.n_original_samples = n_before
         survivors = self.survivor_original_ids()
@@ -665,33 +650,46 @@ class ProvenanceStore:
                 log_end=log_start + int(removed.size),
                 store_version_before=self._version,
                 n_samples_before=n_before,
-                n_samples_after=n_before - int(removed.size),
+                n_samples_after=n_after,
                 timestamp=float(timestamp),
             )
         )
-        self.n_samples = n_before - int(removed.size)
         # The seeded schedule no longer regenerates the compacted batches;
         # materialize it from the records (checkpoints do the same).
         self.schedule = BatchSchedule(
-            n_samples=self.n_samples,
+            n_samples=n_after,
             batch_size=self.schedule.batch_size,
             n_iterations=len(self.records),
             seed=self.schedule.seed,
             kind="materialized",
             batches=[record.batch for record in self.records],
         )
-        self._version += 1
         self._occurrences = None
         self._packed = new_index
+        self._publish(n_after)
         return CompactionStats(
             removed=removed,
             n_samples_before=n_before,
-            n_samples_after=self.n_samples,
+            n_samples_after=n_after,
             affected_iterations=affected,
             dropped_per_iteration=per_iter,
             dropped_slots=dropped_slots,
             dropped_occurrences=int(member.sum()),
         )
+
+    def _publish(self, n_samples: int) -> None:
+        """Install a new ``(n_samples, _version)`` pair under the seqlock.
+
+        Lock-free submit-time readers read only this pair, so the odd
+        window spans just these two assignments: a reader arriving while
+        a mutation is still under way takes the old pair (and the old id
+        space, which commit tracking remaps at dispatch) instead of
+        spinning through the whole mutation.
+        """
+        self._commit_seq += 1  # odd: the pair is changing
+        self.n_samples = n_samples
+        self._version += 1
+        self._commit_seq += 1  # even again: readers may trust the pair
 
     def _compact_record(
         self, record, ids: np.ndarray, positions: np.ndarray, features, labels
@@ -879,9 +877,9 @@ defer_eigen` and the debt is discharged lazily by the first PrIU-opt
         the paper's lossy criterion with the worst error bound surfaced
         in the receipt.  Bumps the store version (compiled plans must
         re-sync their summary references via :meth:`~repro.core.\
-replay_plan.ReplayPlan.resync_summaries`); the mutation is wrapped in
-        the commit seqlock so concurrent submit-time readers always see a
-        consistent store.
+replay_plan.ReplayPlan.resync_summaries`); the version bump goes
+        through the commit seqlock so concurrent submit-time readers always
+        see a consistent ``(n_samples, _version)`` pair.
 
         ``incremental=True`` (the default) hands each record's appended
         correction-column count to :func:`~repro.linalg.svd.\
@@ -932,30 +930,25 @@ retruncate_summary`, which folds few-column updates into the existing
         columns_before = columns_after = max_rank_after = 0
         incremental_updates = 0
         max_bound = max_relative = 0.0
-        self._commit_seq += 1  # odd: mutation in progress
-        try:
-            for t in touched:
-                record = self.records[t]
-                appended = (
-                    int(self.svd_correction_columns[t]) if incremental
-                    else None
-                )
-                result = retruncate_summary(
-                    record.summary, epsilon=epsilon, appended=appended
-                )
-                record.summary = result.summary
-                columns_before += result.rank_before
-                columns_after += result.rank_after
-                max_rank_after = max(max_rank_after, result.rank_after)
-                max_bound = max(max_bound, result.error_bound)
-                max_relative = max(max_relative, result.error_bound_relative)
-                incremental_updates += result.method == "incremental"
-            columns = self.svd_correction_columns.copy()
-            columns[touched] = 0
-            self.svd_correction_columns = columns
-            self._version += 1
-        finally:
-            self._commit_seq += 1  # even again
+        for t in touched:
+            record = self.records[t]
+            appended = (
+                int(self.svd_correction_columns[t]) if incremental else None
+            )
+            result = retruncate_summary(
+                record.summary, epsilon=epsilon, appended=appended
+            )
+            record.summary = result.summary
+            columns_before += result.rank_before
+            columns_after += result.rank_after
+            max_rank_after = max(max_rank_after, result.rank_after)
+            max_bound = max(max_bound, result.error_bound)
+            max_relative = max(max_relative, result.error_bound_relative)
+            incremental_updates += result.method == "incremental"
+        columns = self.svd_correction_columns.copy()
+        columns[touched] = 0
+        self.svd_correction_columns = columns
+        self._publish(self.n_samples)
         return {
             "summaries": len(touched),
             "columns_before": columns_before,

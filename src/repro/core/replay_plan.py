@@ -17,8 +17,8 @@ phase — into contiguous structure-of-arrays state:
   pre-grouped SVD ``(P, V)`` factor pairs — so the hot loop never touches a
   record object or an ``isinstance`` check;
 * sparse mode additionally pre-slices the per-iteration CSR batch blocks
-  and precomputes their base moments ``X_tᵀ(b_t ∘ y_t)``, which the seed
-  path recomputed on every request.
+  (and their transposes) and precomputes their base moments
+  ``X_tᵀ(b_t ∘ y_t)``, which the seed path recomputed on every request.
 
 On top of that layout, :meth:`ReplayPlan.run` replays **K deletion sets
 simultaneously**: the K weight vectors stack into an ``m × K`` matrix, so
@@ -41,6 +41,7 @@ so it is never slower.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..linalg.matrix_utils import is_sparse
 from . import kernels
@@ -50,6 +51,14 @@ from .provenance_store import (
     ProvenanceStore,
     normalize_removed_indices,
 )
+
+
+def _csr_range(csr, a0: int, b0: int):
+    """Feature column, request column, value and ``a0``-relative hit index
+    of every non-zero of the gathered hit rows ``[a0, b0)``."""
+    indptr, indices, data, nz_hit, nz_k = csr
+    p0, p1 = indptr[a0], indptr[b0]
+    return indices[p0:p1], nz_k[p0:p1], data[p0:p1], nz_hit[p0:p1] - a0
 
 
 def _drop_rows(arr: np.ndarray, dropped: np.ndarray) -> np.ndarray:
@@ -90,10 +99,6 @@ class ReplayPlan:
         Exactly what :class:`~repro.core.priu.PrIUUpdater` takes; the plan
         produces numerically matching updates (atol ≲ 1e-12 — only BLAS
         reduction order differs).
-    cache_sparse_blocks:
-        Sparse mode pre-slices the per-iteration CSR blocks (a time/memory
-        trade: the seed path re-slices them on every request).  Disable to
-        fall back to slicing inside the loop.
     kernel_block_size:
         Iterations fused per replay block (see :mod:`repro.core.kernels`).
         ``None`` resolves to :data:`~repro.core.kernels.DEFAULT_BLOCK_SIZE`
@@ -109,7 +114,6 @@ class ReplayPlan:
         features,
         labels: np.ndarray,
         w0: np.ndarray | None = None,
-        cache_sparse_blocks: bool = True,
         kernel_block_size: int | None = None,
     ) -> None:
         self.store = store
@@ -136,7 +140,6 @@ class ReplayPlan:
         # load_plan); runs once, on the first replay.
         self._integrity_check = None
         self.supported = not (self.sparse and self.task == "multinomial_logistic")
-        self._cache_sparse_blocks = bool(cache_sparse_blocks)
         self._kernel_block_size = kernel_block_size
         self._kernel = None
         self._kernel_stats = {
@@ -147,10 +150,10 @@ class ReplayPlan:
         if not self.supported:
             return
         self._scale_num = 2.0 * self.eta if self.task == "linear" else self.eta
-        self._compile(cache_sparse_blocks)
+        self._compile()
 
     # ------------------------------------------------------------ compile
-    def _compile(self, cache_sparse_blocks: bool) -> None:
+    def _compile(self) -> None:
         records = self.store.records
         tau = self.n_iterations
         self.base_sizes = np.fromiter(
@@ -175,7 +178,7 @@ class ReplayPlan:
         kind = self.store.compression
         self._kind = {"none": "dense"}.get(kind, kind)
         if self.sparse:
-            self._compile_sparse(cache_sparse_blocks)
+            self._compile_sparse()
             return
 
         # Summaries as homogeneous lists (refs, no copies).
@@ -234,33 +237,37 @@ class ReplayPlan:
             boundaries=boundaries,
         )
 
-    def _compile_sparse(self, cache_blocks: bool) -> None:
+    def _compile_sparse(self) -> None:
         """Sparse mode: pre-slice CSR batch blocks + precompute base moments.
 
         The seed path re-touches ``features[surviving]`` on every request
         (Sec. 5.3 keeps sparse data on Eq. 11); the plan instead computes the
         *full-batch* bulk term once per iteration and subtracts the removed
-        rows' contributions, so the batch block and its moment
-        ``X_tᵀ(b_t ∘ y_t)`` can be prepared offline.
+        rows' contributions, so the batch block, its transpose and its
+        moment ``X_tᵀ(b_t ∘ y_t)`` can be prepared offline.
         """
-        records = self.store.records
-        y = self._labels_num
-        blocks = []
-        moments = np.empty((self.n_iterations, self.n_params))
-        for t, record in enumerate(records):
-            block = self.features[record.batch]
-            y_t = y[record.batch]
-            if self.task == "linear":
-                moments[t] = np.asarray(block.T @ y_t).ravel()
-            else:
-                moments[t] = np.asarray(
-                    block.T @ (record.intercepts * y_t)
-                ).ravel()
-            blocks.append(block if cache_blocks else None)
-        self.moments = moments
-        self._blocks = blocks if cache_blocks else None
+        self._blocks = [None] * self.n_iterations
+        self._blocks_t = [None] * self.n_iterations
+        self.moments = np.empty((self.n_iterations, self.n_params))
+        for t in range(self.n_iterations):
+            self.moments[t] = self._compile_sparse_iteration(t)
         if self.task == "binary_logistic":
-            self._compile_binary_flats(records)
+            self._compile_binary_flats(self.store.records)
+
+    def _compile_sparse_iteration(self, t: int) -> np.ndarray:
+        """Slice iteration ``t``'s CSR block (and transpose); return its moment.
+
+        The transpose is a CSC view over the block's own arrays, so
+        holding it costs no copy, and the replay loops never build one.
+        """
+        record = self.store.records[t]
+        block = self.features[record.batch]
+        block_t = block.T
+        self._blocks[t], self._blocks_t[t] = block, block_t
+        y_t = self._labels_num[record.batch]
+        if self.task == "binary_logistic":
+            y_t = record.intercepts * y_t
+        return np.asarray(block_t @ y_t).ravel()
 
     def _compile_binary_flats(self, records) -> None:
         """Slot-indexed interpolation state shared by dense and sparse modes.
@@ -276,11 +283,6 @@ class ReplayPlan:
             np.concatenate([r.intercepts for r in records])
             * self._labels_num[slot_samples]
         )
-
-    def _block(self, t: int):
-        if self._blocks is not None:
-            return self._blocks[t]
-        return self.features[self.store.records[t].batch]
 
     # -------------------------------------------------------- persistence
     #
@@ -350,7 +352,6 @@ class ReplayPlan:
         labels: np.ndarray,
         meta: dict[str, str],
         arrays: dict[str, np.ndarray],
-        cache_sparse_blocks: bool = True,
         kernel_block_size: int | None = None,
     ) -> "ReplayPlan":
         """Rebuild a plan from persisted state without recompiling.
@@ -431,7 +432,6 @@ class ReplayPlan:
         plan.final_weights = None
         plan._integrity_check = None
         plan.supported = True
-        plan._cache_sparse_blocks = bool(cache_sparse_blocks)
         plan._scale_num = 2.0 * plan.eta if plan.task == "linear" else plan.eta
         plan._kind = meta["kind"]
         plan._slot_map = None
@@ -468,11 +468,8 @@ class ReplayPlan:
 
         records = store.records
         if sparse:
-            plan._blocks = (
-                [plan.features[r.batch] for r in records]
-                if cache_sparse_blocks
-                else None
-            )
+            plan._blocks = [plan.features[r.batch] for r in records]
+            plan._blocks_t = [block.T for block in plan._blocks]
         elif plan._kind == "svd":
             plan._lefts = [r.summary.left for r in records]
             plan._rights = [r.summary.right for r in records]
@@ -550,7 +547,7 @@ class ReplayPlan:
             else 0.0
         )
         if fraction > recompile_threshold:
-            self._compile(self._cache_sparse_blocks)
+            self._compile()
             self._compiled_version = self.store._version
             return {
                 "mode": "recompile",
@@ -597,16 +594,7 @@ class ReplayPlan:
             for t in stats.affected_iterations:
                 record = records[t]
                 if self.sparse:
-                    block = self.features[record.batch]
-                    y_t = self._labels_num[record.batch]
-                    if self.task == "linear":
-                        moments[t] = np.asarray(block.T @ y_t).ravel()
-                    else:
-                        moments[t] = np.asarray(
-                            block.T @ (record.intercepts * y_t)
-                        ).ravel()
-                    if self._blocks is not None:
-                        self._blocks[t] = block
+                    moments[t] = self._compile_sparse_iteration(t)
                 else:
                     moments[t] = np.asarray(
                         record.moment, dtype=float
@@ -990,8 +978,19 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
             "seg_k": seg_k,
             "seg_offsets": seg_offsets,
             "hit_k": hit_k,
-            "rows": self.features[hit_ids] if hit_ids.size else None,
         }
+        if self.sparse:
+            # The hit rows stay as raw CSR arrays: the replay loops read a
+            # hit range's non-zeros by slicing, never a scipy object.
+            rows = sp.csr_matrix(self.features[hit_ids])
+            nz_hit = np.repeat(
+                np.arange(hit_ids.size, dtype=np.int64), np.diff(rows.indptr)
+            )
+            hits["csr"] = (
+                rows.indptr, rows.indices, rows.data, nz_hit, hit_k[nz_hit]
+            )
+        else:
+            hits["rows"] = self.features[hit_ids]
         slots = self._record_offsets[hit_t] + hit_pos
         if self.task == "linear":
             hits["y"] = self._labels_num[hit_ids]
@@ -1009,12 +1008,15 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
     # ------------------------------------------------------------ replays
     #
     # Each loop does one GEMM for the bulk term of all K columns, then a
-    # single vectorized pass over the iteration's hits: per-hit scalars via
-    # one einsum against the gathered weight columns, per-request sums via
-    # ``np.add.reduceat`` over the pre-sorted (iteration, request) segments,
-    # and one fancy-column scatter into ``adjust``.  No per-request Python
-    # work survives in the dense hot loops; sparse mode keeps a per-segment
-    # loop because its delta rows stay in CSR form.
+    # single vectorized pass over the iteration's hits.  Dense mode takes
+    # the per-hit scalars via one einsum against the gathered weight
+    # columns, per-request sums via ``np.add.reduceat`` over the
+    # pre-sorted (iteration, request) segments, and one fancy-column
+    # scatter into ``adjust``.  Sparse mode reads the bulk term through the
+    # compiled block and its transpose, and the hits' raw CSR arrays: one
+    # ``np.bincount`` over the iteration's non-zeros gives every hit's
+    # ``x·w[:, k_h]``, and one ``ufunc.at`` scatter on ``(column, k_h)``
+    # applies the deltas.  No per-request Python work survives in either.
 
     def _run_linear(self, weights, hits, start, end) -> np.ndarray:
         scales = hits["scales"]
@@ -1023,22 +1025,23 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
             hits["seg_k"],
             hits["seg_offsets"],
         )
-        rows, y, hit_k = hits["rows"], hits.get("y"), hits["hit_k"]
+        rows, csr = hits.get("rows"), hits.get("csr")
+        y, hit_k = hits.get("y"), hits["hit_k"]
         shrink = self.shrink
         moments = self.moments
         sparse = self.sparse
         summaries, lefts, rights = None, None, None
-        if not sparse:
-            if self._kind == "svd":
-                lefts, rights = self._lefts, self._rights
-            else:
-                summaries = self._summaries
+        if sparse:
+            blocks, blocks_t = self._blocks, self._blocks_t
+        elif self._kind == "svd":
+            lefts, rights = self._lefts, self._rights
+        else:
+            summaries = self._summaries
         # reprolint: allow[R006] sanctioned per-iteration fallback — kernels.run_blocked
         # fuses hit-free dense-SVD spans and delegates the rest here
         for t in range(start, end):
             if sparse:
-                block = self._block(t)
-                gram_w = block.T @ (block @ weights)
+                gram_w = blocks_t[t] @ (blocks[t] @ weights)
             elif summaries is not None:
                 gram_w = summaries[t] @ weights
             else:
@@ -1046,15 +1049,13 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
             adjust = moments[t][:, None] - gram_w
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:
+                a0, b0 = bounds[s_lo], bounds[s_hi]
                 if sparse:
-                    for seg in range(s_lo, s_hi):
-                        a, b = bounds[seg], bounds[seg + 1]
-                        k = seg_k[seg]
-                        r = rows[a:b]
-                        delta = r.T @ (r @ weights[:, k] - y[a:b])
-                        adjust[:, k] += np.asarray(delta).ravel()
+                    cols, ks, vals, local = _csr_range(csr, a0, b0)
+                    z = np.bincount(local, vals * weights[cols, ks], b0 - a0)
+                    v = z - y[a0:b0]
+                    np.add.at(adjust, (cols, ks), vals * v[local])
                 else:
-                    a0, b0 = bounds[s_lo], bounds[s_hi]
                     r = rows[a0:b0]
                     v = (
                         np.einsum("hm,mh->h", r, weights[:, hit_k[a0:b0]])
@@ -1070,19 +1071,20 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
     def _run_linear_single(self, w, hits, start, end) -> np.ndarray:
         scales = hits["scales"][:, 0]
         bounds, offsets = hits["seg_bounds"], hits["seg_offsets"]
-        rows, y = hits["rows"], hits.get("y")
+        rows, csr, y = hits.get("rows"), hits.get("csr"), hits.get("y")
         shrink = self.shrink
         moments = self.moments
         sparse = self.sparse
         summaries = getattr(self, "_summaries", None)
         lefts = getattr(self, "_lefts", None)
         rights = getattr(self, "_rights", None)
+        blocks = getattr(self, "_blocks", None)
+        blocks_t = getattr(self, "_blocks_t", None)
         # reprolint: allow[R006] sanctioned per-iteration fallback — kernels.run_blocked
         # fuses hit-free dense-SVD spans and delegates the rest here
         for t in range(start, end):
             if sparse:
-                block = self._block(t)
-                gram_w = np.asarray(block.T @ (block @ w)).ravel()
+                gram_w = blocks_t[t] @ (blocks[t] @ w)
             elif summaries is not None:
                 gram_w = summaries[t] @ w
             else:
@@ -1091,15 +1093,20 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:
                 a0, b0 = bounds[s_lo], bounds[s_hi]
-                r = rows[a0:b0]
-                adjust += np.asarray(r.T @ (r @ w - y[a0:b0])).ravel()
+                if sparse:
+                    cols, _, vals, local = _csr_range(csr, a0, b0)
+                    v = np.bincount(local, vals * w[cols], b0 - a0) - y[a0:b0]
+                    np.add.at(adjust, cols, vals * v[local])
+                else:
+                    r = rows[a0:b0]
+                    adjust += r.T @ (r @ w - y[a0:b0])
             w = shrink * w + adjust * scales[t]
         return w
 
     def _run_binary_single(self, w, hits, start, end) -> np.ndarray:
         scales = hits["scales"][:, 0]
         bounds, offsets = hits["seg_bounds"], hits["seg_offsets"]
-        rows = hits["rows"]
+        rows, csr = hits.get("rows"), hits.get("csr")
         hit_slopes, hit_iy = hits.get("slopes"), hits.get("iy")
         shrink = self.shrink
         moments = self.moments
@@ -1107,16 +1114,15 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
         summaries = getattr(self, "_summaries", None)
         lefts = getattr(self, "_lefts", None)
         rights = getattr(self, "_rights", None)
+        blocks = getattr(self, "_blocks", None)
+        blocks_t = getattr(self, "_blocks_t", None)
         rec_off = self._record_offsets
         # reprolint: allow[R006] sanctioned per-iteration fallback — kernels.run_blocked
         # fuses hit-free dense-SVD spans and delegates the rest here
         for t in range(start, end):
             if sparse:
-                block = self._block(t)
                 slopes_t = self._slopes_flat[rec_off[t] : rec_off[t + 1]]
-                gram_w = np.asarray(
-                    block.T @ (slopes_t * np.asarray(block @ w).ravel())
-                ).ravel()
+                gram_w = blocks_t[t] @ (slopes_t * (blocks[t] @ w))
             elif summaries is not None:
                 gram_w = summaries[t] @ w
             else:
@@ -1125,11 +1131,14 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:
                 a0, b0 = bounds[s_lo], bounds[s_hi]
-                r = rows[a0:b0]
-                z = np.asarray(r @ w).ravel()
-                adjust -= np.asarray(
-                    r.T @ (hit_slopes[a0:b0] * z + hit_iy[a0:b0])
-                ).ravel()
+                if sparse:
+                    cols, _, vals, local = _csr_range(csr, a0, b0)
+                    z = np.bincount(local, vals * w[cols], b0 - a0)
+                    v = hit_slopes[a0:b0] * z + hit_iy[a0:b0]
+                    np.subtract.at(adjust, cols, vals * v[local])
+                else:
+                    r = rows[a0:b0]
+                    adjust -= r.T @ (hit_slopes[a0:b0] * (r @ w) + hit_iy[a0:b0])
             w = shrink * w + adjust * scales[t]
         return w
 
@@ -1178,25 +1187,25 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
             hits["seg_k"],
             hits["seg_offsets"],
         )
-        rows, hit_k = hits["rows"], hits["hit_k"]
+        rows, csr, hit_k = hits.get("rows"), hits.get("csr"), hits["hit_k"]
         hit_slopes, hit_iy = hits.get("slopes"), hits.get("iy")
         shrink = self.shrink
         moments = self.moments
         sparse = self.sparse
         summaries, lefts, rights = None, None, None
-        if not sparse:
-            if self._kind == "svd":
-                lefts, rights = self._lefts, self._rights
-            else:
-                summaries = self._summaries
+        if sparse:
+            blocks, blocks_t = self._blocks, self._blocks_t
+        elif self._kind == "svd":
+            lefts, rights = self._lefts, self._rights
+        else:
+            summaries = self._summaries
         rec_off = self._record_offsets
         # reprolint: allow[R006] sanctioned per-iteration fallback — kernels.run_blocked
         # fuses hit-free dense-SVD spans and delegates the rest here
         for t in range(start, end):
             if sparse:
-                block = self._block(t)
                 slopes_t = self._slopes_flat[rec_off[t] : rec_off[t + 1]]
-                gram_w = block.T @ (slopes_t[:, None] * np.asarray(block @ weights))
+                gram_w = blocks_t[t] @ (slopes_t[:, None] * (blocks[t] @ weights))
             elif summaries is not None:
                 gram_w = summaries[t] @ weights
             else:
@@ -1204,16 +1213,13 @@ CheckpointCorruptionError` on a digest mismatch; the pending check is
             adjust = gram_w + moments[t][:, None]
             s_lo, s_hi = offsets[t], offsets[t + 1]
             if s_lo != s_hi:
+                a0, b0 = bounds[s_lo], bounds[s_hi]
                 if sparse:
-                    for seg in range(s_lo, s_hi):
-                        a, b = bounds[seg], bounds[seg + 1]
-                        k = seg_k[seg]
-                        r = rows[a:b]
-                        z = np.asarray(r @ weights[:, k]).ravel()
-                        delta = r.T @ (hit_slopes[a:b] * z + hit_iy[a:b])
-                        adjust[:, k] -= np.asarray(delta).ravel()
+                    cols, ks, vals, local = _csr_range(csr, a0, b0)
+                    z = np.bincount(local, vals * weights[cols, ks], b0 - a0)
+                    v = hit_slopes[a0:b0] * z + hit_iy[a0:b0]
+                    np.subtract.at(adjust, (cols, ks), vals * v[local])
                 else:
-                    a0, b0 = bounds[s_lo], bounds[s_hi]
                     r = rows[a0:b0]
                     v = hit_slopes[a0:b0] * np.einsum(
                         "hm,mh->h", r, weights[:, hit_k[a0:b0]]

@@ -1160,7 +1160,6 @@ def load_plan(
     features,
     labels: np.ndarray,
     mmap: bool = True,
-    cache_sparse_blocks: bool = True,
     plan_cache: PlanCache | None = None,
     kernel_block_size: int | None = None,
 ) -> ReplayPlan:
@@ -1216,7 +1215,6 @@ ReplayPlan.run` — mapping exists precisely to avoid touching the bytes
         labels,
         meta,
         arrays,
-        cache_sparse_blocks=cache_sparse_blocks,
         kernel_block_size=kernel_block_size,
     )
     plan.final_weights = final_weights

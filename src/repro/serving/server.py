@@ -144,8 +144,11 @@ class _Request:
 def _consistent_store_snapshot(store) -> tuple[int, int]:
     """A consistent ``(version, n_samples)`` pair via the commit seqlock.
 
-    Odd means a ``compact()`` is mutating mid-read, and a seq change
-    across the reads means one completed — retry either way.
+    Odd means the store is installing a new pair mid-read, and a seq
+    change across the reads means it installed one — retry either way.
+    The odd window spans only the two assignments (see
+    ``ProvenanceStore._publish``), so a read that lands during a long
+    ``compact()`` returns the pre-commit pair without spinning.
     """
     while True:
         seq = store._commit_seq

@@ -19,6 +19,7 @@ from repro.core import (
     train_with_capture,
 )
 from repro.core.provenance_store import normalize_removed_indices
+from repro.core.serialization import load_plan, save_plan
 from repro.datasets import (
     make_binary_classification,
     make_multiclass_classification,
@@ -68,6 +69,15 @@ def _plan_case(task, compression, sparse=False, epsilon=0.01):
         compression=compression, epsilon=epsilon,
     )
     return features, labels, store
+
+
+def _assert_compiled_blocks(plan):
+    """Every iteration's CSR block and transpose equal a fresh slice."""
+    assert len(plan._blocks) == len(plan._blocks_t) == plan.n_iterations
+    for t, record in enumerate(plan.store.records):
+        want = plan.features[record.batch]
+        assert (plan._blocks[t] != want).nnz == 0
+        assert (plan._blocks_t[t] != want.T).nnz == 0
 
 
 DENSE_CASES = [
@@ -151,14 +161,30 @@ class TestPlanMatchesSequential:
             plan.run_single(removed), updater.update(removed), atol=ATOL
         )
 
-    def test_sparse_without_block_cache_matches(self):
+    def test_sparse_plan_holds_compiled_blocks(self, tmp_path):
+        """Fresh, loaded and refreshed sparse plans all hold their compiled
+        CSR blocks and transposes, and still match the seed path."""
         features, labels, store = _plan_case("binary_logistic", "auto", sparse=True)
-        updater = PrIUUpdater(store, features, labels)
-        plan = ReplayPlan(store, features, labels, cache_sparse_blocks=False)
-        assert plan._blocks is None
+        fresh = ReplayPlan(store, features, labels)
+        loaded = load_plan(
+            save_plan(fresh, tmp_path / "plan.npz"), store, features, labels
+        )
         removed = [1, 7, 19]
+        want = PrIUUpdater(store, features, labels).update(removed)
+        for plan in (fresh, loaded):
+            _assert_compiled_blocks(plan)
+            np.testing.assert_allclose(plan.run_single(removed), want, atol=ATOL)
+        committed = np.array([2, 3, 40])
+        stats = store.compact(committed, features, labels)
+        survivors = np.setdiff1d(np.arange(features.shape[0]), committed)
+        features, labels = features[survivors], labels[survivors]
+        receipt = fresh.refresh(stats, features, labels, recompile_threshold=1.0)
+        assert receipt["mode"] == "refresh"
+        _assert_compiled_blocks(fresh)
         np.testing.assert_allclose(
-            plan.run_single(removed), updater.update(removed), atol=ATOL
+            fresh.run_single(removed),
+            PrIUUpdater(store, features, labels).update(removed),
+            atol=ATOL,
         )
 
     def test_stale_plan_rejected_after_store_mutation(self):

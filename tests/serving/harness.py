@@ -439,6 +439,10 @@ class StressDriver:
                     # Enough for every retried dispatch to fail until the
                     # breaker opens.
                     n = retry.load_attempts * retry.quarantine_after
+                # A worker mid-dispatch holds the model pinned, and evict()
+                # refuses pinned models; drain first so the eviction lands
+                # and the armed faults fire on the next load.
+                self.fleet.flush(timeout=30)
                 evicted = self.fleet.registry.evict(model_id)
                 self.flaky.fail_next(model_id, n)
                 self.report.load_faults += n

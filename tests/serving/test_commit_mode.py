@@ -4,11 +4,15 @@ Every test drives the real worker thread, the real batched engine, and the
 real commit path (store compaction + plan refresh) — no mocks.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro import AdmissionPolicy, DeletionServer, IncrementalTrainer
+from repro.core.provenance_store import ProvenanceStore
 from repro.datasets import make_binary_classification
+from repro.serving.server import _consistent_store_snapshot
 
 _DATA = make_binary_classification(500, 10, separation=1.0, seed=7)
 
@@ -156,6 +160,67 @@ class TestCommitModeValidation:
         assert outcome.committed
         assert np.array_equal(outcome.removed, [9 - 1])  # only the survivor
         assert np.array_equal(np.sort(trainer.deletion_log), [3, 9])
+
+
+class TestCommitSeqlock:
+    def test_snapshot_mid_compaction_returns_pre_commit_pair(
+        self, trainer, monkeypatch
+    ):
+        """The seqlock is odd only while the (n_samples, version) pair is
+        installed, so a submit-time read during a long compaction returns
+        the pre-commit pair instead of spinning until it ends."""
+        store = trainer.store
+        before = (store._version, store.n_samples)
+        seen = []
+        original = ProvenanceStore._compact_record
+
+        def snapshot_inside(self, *args, **kwargs):
+            # An odd sequence here would make the snapshot spin forever.
+            assert self._commit_seq % 2 == 0
+            seen.append(_consistent_store_snapshot(self))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            ProvenanceStore, "_compact_record", snapshot_inside
+        )
+        trainer.remove([1, 2, 3], method="priu", commit=True)
+        assert seen and all(pair == before for pair in seen)
+        assert _consistent_store_snapshot(store) == (
+            before[0] + 1,
+            before[1] - 3,
+        )
+
+    def test_submit_during_commit_is_remapped(
+        self, trainer, reference, monkeypatch
+    ):
+        """A request admitted mid-commit is tagged with the pre-commit key
+        and translated through that commit at its own dispatch."""
+        entered, release = threading.Event(), threading.Event()
+        original = ProvenanceStore._compact_record
+
+        def blocking(self, *args, **kwargs):
+            entered.set()
+            assert release.wait(30)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProvenanceStore, "_compact_record", blocking)
+        with DeletionServer(
+            trainer, AdmissionPolicy(max_batch=1), method="priu",
+            commit_mode=True,
+        ) as server:
+            first = server.submit([1, 2, 3])
+            assert entered.wait(30)
+            # Validated and tagged in the pre-commit id space.
+            second = server.submit([4, 5])
+            release.set()
+            assert server.flush(timeout=30)
+        assert first.result(timeout=30).committed
+        outcome = second.result(timeout=30)
+        assert np.array_equal(outcome.removed, [4 - 3, 5 - 3])
+        expected = reference.remove([1, 2, 3, 4, 5], method="priu").weights
+        np.testing.assert_allclose(
+            outcome.weights, expected, atol=1e-10, rtol=0.0
+        )
 
 
 class TestCancelledBatches:
